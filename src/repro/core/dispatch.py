@@ -82,7 +82,6 @@ def build_guard_stub(
     base_name = image.symbol_names.get(original, f"fn_{original:x}")
     image.function_sizes[addr] = len(code)
     image.define_symbol(f"{base_name}__guard_{param}_{value & 0xFFFF:x}_{addr:x}", addr)
-    machine.cpu.invalidate_icache()
     return addr
 
 
@@ -192,7 +191,6 @@ def build_multi_guard_stub(
     image.function_sizes[addr] = len(code)
     base_name = image.symbol_names.get(original, f"fn_{original:x}")
     image.define_symbol(f"{base_name}__mguard_{addr:x}", addr)
-    machine.cpu.invalidate_icache()
     return addr
 
 

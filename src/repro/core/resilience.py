@@ -19,11 +19,11 @@ from research toys:
 * :func:`validate_variant` is a **differential validation gate**: before
   a variant is handed out, the specialized entry and the original are
   both executed on the tracing arguments plus N seeded-perturbed argument
-  vectors inside a scratch memory snapshot; return values and all memory
-  writes are compared, and a diverging variant is discarded with a
-  ``validation-failed`` reason.  This turns the paper's correctness
-  assumption ("the variant is a drop-in replacement") into a checked
-  invariant.
+  vectors, each inside a memory transaction that is rolled back
+  afterwards; return values and all memory writes are compared, and a
+  diverging variant is discarded with a ``validation-failed`` reason.
+  This turns the paper's correctness assumption ("the variant is a
+  drop-in replacement") into a checked invariant.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 from repro.errors import ReproError, RewriteFailure
 from repro.core.config import Knownness, RewriteConfig
 from repro.core.rewriter import RewriteResult, rewrite
-from repro.machine.memory import Perm
+from repro.machine.memory import PAGE_SIZE, Segment
 from repro.obs import Metrics
 
 #: Failure reasons for which a more conservative ladder rung cannot help:
@@ -102,53 +102,6 @@ DEFAULT_LADDER: tuple[LadderRung, ...] = (
 
 
 # ====================================================================== gate
-@dataclass
-class _Snapshot:
-    """Saved contents of every writable segment plus access counters."""
-
-    segments: list[tuple[str, bytes]]
-    loads: dict[str, int]
-    stores: dict[str, int]
-
-
-def _take_snapshot(machine) -> _Snapshot:
-    memory = machine.image.memory
-    return _Snapshot(
-        segments=[
-            (seg.name, bytes(seg.data))
-            for seg in memory.segments
-            if Perm.W in seg.perms
-        ],
-        loads=dict(memory.loads),
-        stores=dict(memory.stores),
-    )
-
-
-def _restore_snapshot(machine, snap: _Snapshot) -> None:
-    memory = machine.image.memory
-    by_name = {seg.name: seg for seg in memory.segments}
-    for name, data in snap.segments:
-        by_name[name].data[:] = data
-    memory.loads.clear()
-    memory.loads.update(snap.loads)
-    memory.stores.clear()
-    memory.stores.update(snap.stores)
-
-
-def _writable_state(machine) -> list[tuple[str, bytes]]:
-    """Current contents of all writable segments (the "memory writes"
-    half of the differential comparison — identical inputs must leave
-    identical memory behind).  The stack is excluded: dead scratch left
-    below the return-time rsp differs legitimately between the original
-    and a variant with a different spill pattern and is not a
-    program-visible output."""
-    return [
-        (seg.name, bytes(seg.data))
-        for seg in machine.image.memory.segments
-        if Perm.W in seg.perms and seg.name != "stack"
-    ]
-
-
 def _perturbed_vectors(
     conf: RewriteConfig, args: tuple, vectors: int, seed: int
 ) -> list[tuple]:
@@ -187,22 +140,66 @@ class _Observation:
     error: str | None = None
     uint_return: int = 0
     float_return: float = 0.0
-    memory: list[tuple[str, bytes]] = field(default_factory=list)
+    #: Post-images of the non-stack pages the run stored into: page
+    #: address -> (segment, bytes).
+    memory: dict[int, tuple[Segment, bytes]] = field(default_factory=dict)
 
 
 def _observe(machine, entry: int, args: tuple, max_steps: int) -> _Observation:
     """Run ``entry`` on ``args`` and capture its observable behaviour.
 
-    The caller is responsible for snapshot/restore around this."""
+    The caller opens a memory transaction around this and rolls it back
+    afterwards.  The stack is left out of the afterimage: dead scratch
+    left below the return-time rsp differs legitimately between the
+    original and a variant with a different spill pattern and is not a
+    program-visible output."""
     try:
         run = machine.cpu.run(entry, *args, max_steps=max_steps)
     except ReproError as exc:  # CpuError, MemoryError_, DecodeError, ...
         return _Observation(error=f"{type(exc).__name__}: {exc}")
+    afterimage = {}
+    for addr, (seg, _) in machine.image.memory.dirty_pages().items():
+        if seg.name != "stack":
+            start = addr - seg.base
+            afterimage[addr] = (seg, bytes(seg.data[start : start + PAGE_SIZE]))
     return _Observation(
         uint_return=run.uint_return,
         float_return=run.float_return,
-        memory=_writable_state(machine),
+        memory=afterimage,
     )
+
+
+def _divergence(memory, want: _Observation, run, args: tuple) -> str | None:
+    """How ``run`` — a variant execution whose writes sit in ``memory``'s
+    open transaction — differs from the original's observation ``want``
+    from the same starting state, or None when it agrees.
+
+    Only pages one of the two runs stored into can differ; a page just
+    one of them touched is compared against its pre-image."""
+    if run.uint_return != want.uint_return:
+        return (
+            f"int return diverged on {args!r}: "
+            f"0x{run.uint_return:x} != 0x{want.uint_return:x}"
+        )
+    if run.float_return != want.float_return and not (
+        run.float_return != run.float_return
+        and want.float_return != want.float_return
+    ):  # NaN == NaN for comparison purposes
+        return (
+            f"float return diverged on {args!r}: "
+            f"{run.float_return!r} != {want.float_return!r}"
+        )
+    pages = memory.dirty_pages()
+    diverged = set()
+    for addr in pages.keys() | want.memory.keys():
+        seg, expect = want.memory.get(addr) or pages[addr]
+        start = addr - seg.base
+        if seg.name != "stack" and seg.data[start : start + PAGE_SIZE] != expect:
+            diverged.add(seg.name)
+    if diverged:
+        names = [seg.name for seg in memory.segments if seg.name in diverged]
+        return f"memory writes diverged on {args!r} in {names}"
+    return None
 
 
 def validate_variant(
@@ -218,49 +215,36 @@ def validate_variant(
     """Differentially validate ``result.entry`` against the original.
 
     Executes both entry points on the tracing args and ``vectors``
-    seeded perturbations of the UNKNOWN parameters, each inside a scratch
-    snapshot of all writable memory, and compares return registers and
-    every memory write.  Returns ``None`` when no divergence was observed
-    or a human-readable mismatch description otherwise.
+    seeded perturbations of the UNKNOWN parameters, each inside a memory
+    transaction that is rolled back afterwards, and compares return
+    registers and every memory write.  Returns ``None`` when no
+    divergence was observed or a human-readable mismatch description
+    otherwise.
 
     A vector on which the *original* itself faults or exceeds the step
     budget is skipped (nothing to compare against); a variant that faults
     where the original did not is a divergence.
     """
     assert result.ok and result.entry is not None
-    snap = _take_snapshot(machine)
-    try:
-        for vec in _perturbed_vectors(conf, tuple(args), vectors, seed):
+    memory = machine.image.memory
+    for vec in _perturbed_vectors(conf, tuple(args), vectors, seed):
+        memory.begin()
+        try:
             want = _observe(machine, result.original, vec, max_steps)
-            _restore_snapshot(machine, snap)
-            if want.error is not None:
-                continue  # original faults on this vector: unjudgeable
-            got = _observe(machine, result.entry, vec, max_steps)
-            _restore_snapshot(machine, snap)
-            if got.error is not None:
-                return f"variant faulted on {vec!r}: {got.error}"
-            if got.uint_return != want.uint_return:
-                return (
-                    f"int return diverged on {vec!r}: "
-                    f"0x{got.uint_return:x} != 0x{want.uint_return:x}"
-                )
-            if got.float_return != want.float_return and not (
-                got.float_return != got.float_return
-                and want.float_return != want.float_return
-            ):  # NaN == NaN for comparison purposes
-                return (
-                    f"float return diverged on {vec!r}: "
-                    f"{got.float_return!r} != {want.float_return!r}"
-                )
-            if got.memory != want.memory:
-                names = [
-                    name
-                    for (name, a), (_, b) in zip(got.memory, want.memory)
-                    if a != b
-                ]
-                return f"memory writes diverged on {vec!r} in {names}"
-    finally:
-        _restore_snapshot(machine, snap)
+        finally:
+            memory.rollback()
+        if want.error is not None:
+            continue  # original faults on this vector: unjudgeable
+        memory.begin()
+        try:
+            run = machine.cpu.run(result.entry, *vec, max_steps=max_steps)
+            mismatch = _divergence(memory, want, run, vec)
+        except ReproError as exc:
+            mismatch = f"variant faulted on {vec!r}: {type(exc).__name__}: {exc}"
+        finally:
+            memory.rollback()
+        if mismatch is not None:
+            return mismatch
     return None
 
 

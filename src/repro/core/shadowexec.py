@@ -13,12 +13,14 @@ published variants *supervised*:
   phase derived from the seed, so two runs of the same workload sample
   the same calls — bit-for-bit reproducible soaks depend on this);
 
-* a sampled call runs the **original first** inside a scratch snapshot
-  of all writable memory, restores, then runs the published variant for
-  real; return registers and every non-stack memory write are compared
-  exactly as in :func:`repro.core.resilience.validate_variant`;
+* a sampled call runs the **original first** inside a memory
+  transaction, rolls it back, then runs the published variant for real
+  inside a second transaction; return registers and every non-stack
+  memory write are compared exactly as in
+  :func:`repro.core.resilience.validate_variant` — only the pages
+  either run stored into;
 
-* on a match the variant's effects stay in place and the caller gets
+* on a match the variant's transaction commits and the caller gets
   the variant's result — the sample cost is one extra execution;
 
 * on a **divergence** the variant's effects are rolled back, the caller
@@ -41,13 +43,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError, RewriteFailure
-from repro.core.resilience import (
-    _Observation,
-    _observe,
-    _restore_snapshot,
-    _take_snapshot,
-    _writable_state,
-)
+from repro.core.resilience import _divergence, _observe
 from repro.obs import Metrics
 
 #: Default steady-state sampling interval: one call in this many (per
@@ -158,17 +154,20 @@ class ShadowSampler:
     ) -> ShadowOutcome:
         """Execute ``entry`` under shadow supervision of ``original``.
 
-        Protocol: snapshot writable memory → run the original on the
-        snapshot → restore → run the variant *for real* → compare.  On
-        agreement the variant's effects are kept; on divergence they are
-        rolled back and the original is re-run so the caller observes
+        Protocol: begin a memory transaction → run the original →
+        roll back → begin again → run the variant *for real* → compare.
+        On agreement the variant's transaction commits; on divergence it
+        is rolled back and the original is re-run so the caller observes
         exactly what an unspecialized program would have."""
         max_steps = max_steps if max_steps is not None else self.max_steps
         machine = self.machine
+        memory = machine.image.memory
         self.metrics.inc("shadow.samples")
-        snap = _take_snapshot(machine)
-        want = _observe(machine, original, args, max_steps)
-        _restore_snapshot(machine, snap)
+        memory.begin()
+        try:
+            want = _observe(machine, original, args, max_steps)
+        finally:
+            memory.rollback()
         if want.error is not None:
             # the original faults on these live args: nothing to judge
             # the variant against — deliver it unsupervised this time
@@ -178,27 +177,23 @@ class ShadowSampler:
                 run=machine.cpu.run(entry, *args, max_steps=max_steps),
                 unjudged=True,
             )
+        memory.begin()
         try:
             run = machine.cpu.run(entry, *args, max_steps=max_steps)
+            divergence = self._compare(want, run, args)
         except ReproError as exc:
-            _restore_snapshot(machine, snap)
-            self.metrics.inc("shadow.divergences")
             divergence = (
                 f"variant faulted on {args!r}: {type(exc).__name__}: {exc}"
             )
-            self._journal("shadow-divergence", {
-                "entry": entry, "original": original, "mismatch": divergence,
-            })
-            return ShadowOutcome(
-                run=machine.cpu.run(original, *args, max_steps=max_steps),
-                divergence=divergence,
-            )
-        divergence = self._compare(want, run, args)
+        except BaseException:
+            memory.rollback()
+            raise
         if divergence is None:
+            memory.commit()
             self.metrics.inc("shadow.matches")
             return ShadowOutcome(run=run)
         # roll the variant's effects back and serve the caller the truth
-        _restore_snapshot(machine, snap)
+        memory.rollback()
         self.metrics.inc("shadow.divergences")
         self._journal("shadow-divergence", {
             "entry": entry, "original": original, "mismatch": divergence,
@@ -214,30 +209,10 @@ class ShadowSampler:
         if self.recorder is not None and self.recorder.enabled:
             self.recorder.record("machine", event, payload)
 
-    def _compare(self, want: _Observation, run, args: tuple) -> str | None:
-        """Mismatch description, or None when the variant agreed."""
-        if run.uint_return != want.uint_return:
-            return (
-                f"int return diverged on {args!r}: "
-                f"0x{run.uint_return:x} != 0x{want.uint_return:x}"
-            )
-        if run.float_return != want.float_return and not (
-            run.float_return != run.float_return
-            and want.float_return != want.float_return
-        ):  # NaN == NaN for comparison purposes
-            return (
-                f"float return diverged on {args!r}: "
-                f"{run.float_return!r} != {want.float_return!r}"
-            )
-        got_memory = _writable_state(self.machine)
-        if got_memory != want.memory:
-            names = [
-                name
-                for (name, a), (_, b) in zip(got_memory, want.memory)
-                if a != b
-            ]
-            return f"memory writes diverged on {args!r} in {names}"
-        return None
+    def _compare(self, want, run, args: tuple) -> str | None:
+        """Mismatch description, or None when the variant agreed (the
+        fault injector's ``shadow`` class patches this seam)."""
+        return _divergence(self.machine.image.memory, want, run, args)
 
     def stats(self) -> dict[str, int]:
         """Shadow-sampling health counters."""

@@ -1,4 +1,4 @@
-"""``python -m repro.experiments`` — print every experiment table."""
+"""``python -m repro.experiments [ID ...]`` — print experiment tables."""
 
 from __future__ import annotations
 
@@ -7,14 +7,22 @@ import sys
 from repro.experiments import ALL_EXPERIMENTS, format_table
 
 
+def experiment_id(fn) -> str:
+    """The id an experiment function's table carries, from its name:
+    ``exp1_specialize`` -> ``EXP-1``, ``abl5_rewrite_cost`` -> ``ABL-5``."""
+    prefix = fn.__name__.partition("_")[0]
+    return f"{prefix[:3].upper()}-{prefix[3:]}"
+
+
 def main(argv: list[str]) -> int:
-    """Print the requested experiment tables (all when no ids given)."""
+    """Print the requested experiment tables (all when no ids given).
+    Only the requested experiments run."""
     wanted = set(a.upper() for a in argv)
     failures = 0
     for fn in ALL_EXPERIMENTS:
-        exp = fn()
-        if wanted and exp.id.upper() not in wanted:
+        if wanted and experiment_id(fn) not in wanted:
             continue
+        exp = fn()
         print(format_table(exp))
         if not exp.all_checks_hold:
             failures += 1

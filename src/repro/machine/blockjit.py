@@ -30,12 +30,12 @@ Invalidation contract
 
 Stale translations must never execute.  The cache is invalidated by
 
-* :meth:`CPU.invalidate_icache` (the rewriter calls it after every
-  emission, tests call it after patching code in place),
 * any :meth:`Image.poke`/:meth:`Image.reserve_rewrite` that touches an
-  executable segment (covers guard stubs, persistence restores that
-  re-place bodies, and in-place patches even when the caller forgets
-  the icache), via :attr:`Image.code_listeners`,
+  executable segment (covers rewriter emission, guard stubs,
+  persistence restores that re-place bodies, and in-place patches),
+  via :attr:`Image.code_listeners` — only the overlapping blocks drop,
+* :meth:`CPU.invalidate_icache`, a whole-cache flush (persistence and
+  forensics restores call it; tests call it after patching code),
 * :meth:`SpecializationManager` invalidation listeners when attached
   with :meth:`BlockJIT.watch_manager` (shadow-validation rollbacks and
   quarantine withdrawals).
@@ -247,6 +247,8 @@ class _BlockCompiler:
         e("    perf.cycles += _x; perf.remote_cycles += _x; "
           "perf.remote_accesses += 1")
         e("mstores[seg_.name] += 1")
+        e("if jn_ is not None:")
+        e(f"    cpu.memory.journal_write(seg_, {t} - seg_.base, 8)")
         fn = "PQI" if fmt == "Q" else "PDI"
         e(f"{fn}(seg_.data, {t} - seg_.base, {value_expr})")
         # A store into executable bytes must invalidate decoded-code
@@ -768,6 +770,7 @@ class _BlockCompiler:
             pre.append("    mloads = cpu.memory.loads")
         if "mstores" in self.needs:
             pre.append("    mstores = cpu.memory.stores")
+            pre.append("    jn_ = cpu.memory.journal")
         if "call" in self.needs:
             pre.append("    hooks = cpu.call_hooks")
             pre.append("    hostfns = cpu.host_functions")

@@ -8,7 +8,8 @@ the rest of the system needs:
 * ``host_functions`` — Python callables reachable via ``CALL`` at
   reserved addresses (used for ``print``-style helpers in examples);
 * ``call_hooks`` — observers fired at every call (the value profiler);
-* an instruction cache invalidated when the rewriter emits new code.
+* an instruction cache kept coherent by the image's code-write
+  listeners, which drop exactly the entries a write overlaps.
 
 Value semantics are delegated to :mod:`repro.isa.semantics`, the same
 module the rewriter's tracer folds constants with — by construction the
@@ -21,6 +22,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.abi.callconv import FLOAT_ARG_REGS, INT_ARG_REGS
 from repro.errors import CpuError
 from repro.isa.costs import DEFAULT_COSTS, CostModel
 from repro.isa.encoding import decode
@@ -34,6 +36,15 @@ from repro.machine.image import Image, LAYOUT
 from repro.machine.perf import PerfCounters
 
 MASK64 = (1 << 64) - 1
+
+#: Most decoded instructions one CPU keeps.  Without a bound the icache
+#: would hold every instruction ever run — the decoded bytes of every
+#: variant, including long one-shot unrolled ones — for the life of the
+#: CPU; a full cache is cleared and refills from the code now running.
+ICACHE_ENTRIES = 4096
+
+#: Every condition flag cleared: the flag state a fresh ``run`` starts from.
+_CLEAR_FLAGS = {f: False for f in Flag}
 
 
 @dataclass
@@ -72,7 +83,7 @@ class CPU:
         self.perf = PerfCounters()
         self.regs: list[int] = [0] * 16
         self.xmm: list[list[float]] = [[0.0, 0.0] for _ in range(16)]
-        self.flags: dict[Flag, bool] = {f: False for f in Flag}
+        self.flags: dict[Flag, bool] = dict(_CLEAR_FLAGS)
         self.pc: int = 0
         self.host_functions: dict[int, Callable[["CPU"], None]] = {}
         self.call_hooks: list[Callable[["CPU", int], None]] = []
@@ -89,7 +100,9 @@ class CPU:
         #: since a trace's executed length is dynamic.  The dispatch
         #: loop consumes it so step counts stay exact across tiers.
         self._ran_partial: int | None = None
-        self._seg_cache = None  # last segment hit (cheap TLB)
+        # cheap two-entry TLB: the last segment hit and the one before
+        self._seg_cache = None
+        self._seg_prev = None
         #: Execution engine when attached — tier-1
         #: :class:`repro.machine.blockjit.BlockJIT` or the tier-2
         #: :class:`repro.machine.tracejit.TraceJIT` subclass; None runs
@@ -114,21 +127,29 @@ class CPU:
         seg = self._seg_cache
         if seg is not None and seg.base <= addr and addr + length <= seg.end:
             return seg
-        seg = self.memory.segment_for(addr, length)
-        self._seg_cache = seg
+        # second entry: code that alternates two segments (literal pool
+        # and array, array and stack) hits here instead of walking
+        prev = self._seg_prev
+        if prev is not None and prev.base <= addr and addr + length <= prev.end:
+            self._seg_prev = seg
+            self._seg_cache = prev
+            return prev
+        self._seg_prev = seg
+        self._seg_cache = seg = self.memory.segment_for(addr, length)
         return seg
 
     def _charge_segment(self, seg) -> None:
+        """Charge a surcharged (remote) segment's extra access cost."""
         extra = seg.extra_cost
-        if extra:
-            self.perf.cycles += extra
-            self.perf.remote_cycles += extra
-            self.perf.remote_accesses += 1
+        self.perf.cycles += extra
+        self.perf.remote_cycles += extra
+        self.perf.remote_accesses += 1
 
     def load_u64(self, addr: int) -> int:
         """8-byte load with counters and segment surcharge."""
         seg = self._segment(addr)
-        self._charge_segment(seg)
+        if seg.extra_cost:
+            self._charge_segment(seg)
         self.memory.loads[seg.name] += 1
         self.perf.loads += 1
         return struct.unpack_from("<Q", seg.data, addr - seg.base)[0]
@@ -136,9 +157,12 @@ class CPU:
     def store_u64(self, addr: int, value: int) -> None:
         """8-byte store with counters and segment surcharge."""
         seg = self._segment(addr)
-        self._charge_segment(seg)
+        if seg.extra_cost:
+            self._charge_segment(seg)
         self.memory.stores[seg.name] += 1
         self.perf.stores += 1
+        if self.memory.journal is not None:
+            self.memory.journal_write(seg, addr - seg.base, 8)
         struct.pack_into("<Q", seg.data, addr - seg.base, value & MASK64)
         if seg.executable:
             self.image.notify_code_write(addr, 8)
@@ -146,7 +170,8 @@ class CPU:
     def load_f64(self, addr: int) -> float:
         """Double load with counters and segment surcharge."""
         seg = self._segment(addr)
-        self._charge_segment(seg)
+        if seg.extra_cost:
+            self._charge_segment(seg)
         self.memory.loads[seg.name] += 1
         self.perf.loads += 1
         return struct.unpack_from("<d", seg.data, addr - seg.base)[0]
@@ -154,9 +179,12 @@ class CPU:
     def store_f64(self, addr: int, value: float) -> None:
         """Double store with counters and segment surcharge."""
         seg = self._segment(addr)
-        self._charge_segment(seg)
+        if seg.extra_cost:
+            self._charge_segment(seg)
         self.memory.stores[seg.name] += 1
         self.perf.stores += 1
+        if self.memory.journal is not None:
+            self.memory.journal_write(seg, addr - seg.base, 8)
         struct.pack_into("<d", seg.data, addr - seg.base, value)
         if seg.executable:
             self.image.notify_code_write(addr, 8)
@@ -178,15 +206,18 @@ class CPU:
             self.costs.base_cost(insn, False),
             self.costs.base_cost(insn, True),
         )
-        self._icache[addr] = entry
+        icache = self._icache
+        if len(icache) >= ICACHE_ENTRIES:
+            icache.clear()
+        icache[addr] = entry
         return entry
 
     def invalidate_icache(self) -> None:
-        """Must be called after new code is emitted over executed addresses.
+        """Drop every decoded instruction and compiled block.
 
-        (The rewriter always emits into fresh addresses, so in practice
-        this is only needed by tests that patch code in place.)
-        """
+        Writes through :meth:`Image.poke` and guest stores into code
+        already drop exactly the entries they overlap, so emission needs
+        no flush; this one is for wholesale restores of code bytes."""
         self._icache.clear()
         if self.jit is not None:
             self.jit.invalidate()
@@ -240,8 +271,6 @@ class CPU:
     # ----------------------------------------------------------------- run
     def setup_args(self, args: tuple) -> None:
         """Place Python arguments into ABI registers (int vs float class)."""
-        from repro.abi.callconv import FLOAT_ARG_REGS, INT_ARG_REGS
-
         next_int = next_float = 0
         for arg in args:
             if isinstance(arg, bool):
@@ -267,7 +296,7 @@ class CPU:
         if reset_regs:
             self.regs = [0] * 16
             self.xmm = [[0.0, 0.0] for _ in range(16)]
-            self.flags = {f: False for f in Flag}
+            self.flags = dict(_CLEAR_FLAGS)
         self.setup_args(tuple(args))
         self.regs[GPR.RSP] = self.image.initial_rsp
         # push the halt sentinel as the return address

@@ -109,6 +109,8 @@ class Image:
         """Loader-level raw write (bypasses permissions and counters)."""
         seg = self.memory.segment_for(addr, len(data))
         off = addr - seg.base
+        if self.memory.journal is not None:
+            self.memory.journal_write(seg, off, len(data))
         seg.data[off : off + len(data)] = data
         if seg.executable:
             self.notify_code_write(addr, len(data))

@@ -4,6 +4,11 @@ Segments carry permissions and an ``extra_cost`` per access — that is
 how simulated remote-node memory (PGAS experiments) charges its latency
 without special-casing anything in the CPU.  All multi-byte accesses are
 little-endian; doubles are IEEE-754 binary64.
+
+Memory transactions (:meth:`Memory.begin` / :meth:`Memory.rollback` /
+:meth:`Memory.commit`) journal the pre-image of every writable page the
+first time a store lands in it, so a scratch execution can be undone by
+restoring only the pages it touched.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ from dataclasses import dataclass, field
 from enum import Flag as EnumFlag, auto
 
 from repro.errors import MemoryError_, SegmentationFault
+
+#: Journal granularity of memory transactions: pages are ``PAGE_SIZE``
+#: bytes, counted from each segment's base.
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
 
 
 class Perm(EnumFlag):
@@ -45,6 +55,7 @@ class Segment:
             raise ValueError("backing buffer size mismatch")
         # precomputed so hot paths skip the enum-flag membership test
         self.executable = Perm.X in self.perms
+        self.writable = Perm.W in self.perms
 
     @property
     def end(self) -> int:
@@ -62,6 +73,14 @@ class Memory:
         # Access counters per segment name, maintained for the perf report.
         self.loads: dict[str, int] = {}
         self.stores: dict[str, int] = {}
+        #: The open transaction's journal — page address -> (segment,
+        #: pre-image) for every writable page stored into since
+        #: :meth:`begin` — or None outside a transaction.  Every store
+        #: path tests it for None and calls :meth:`journal_write` only
+        #: when it is set.
+        self.journal: dict[int, tuple[Segment, bytes]] | None = None
+        #: Enclosing journals and the counters saved by each open begin().
+        self._open: list[tuple[dict | None, dict[str, int], dict[str, int]]] = []
 
     # -- mapping ----------------------------------------------------------
     def map_segment(self, segment: Segment) -> Segment:
@@ -91,6 +110,57 @@ class Memory:
                 return segment
         raise MemoryError_(f"no segment named {name!r}")
 
+    # -- transactions -----------------------------------------------------
+    def begin(self) -> None:
+        """Open a transaction (nests): later stores journal their pages'
+        pre-images until the matching :meth:`rollback` or :meth:`commit`."""
+        self._open.append((self.journal, dict(self.loads), dict(self.stores)))
+        self.journal = {}
+
+    def journal_write(self, seg: Segment, off: int, length: int) -> None:
+        """Save the pre-image of each page of ``seg`` that bytes
+        ``[off, off+length)`` fall in, unless already saved.  Call it
+        before the write, only while a transaction is open.  Only
+        writable segments journal: stores into code go through the
+        code-write listeners instead and are not undone."""
+        if not seg.writable:
+            return
+        journal = self.journal
+        data = seg.data
+        for page in range(off >> PAGE_SHIFT, ((off + length - 1) >> PAGE_SHIFT) + 1):
+            start = page << PAGE_SHIFT
+            addr = seg.base + start
+            if addr not in journal:
+                journal[addr] = (seg, bytes(data[start : start + PAGE_SIZE]))
+
+    def dirty_pages(self) -> dict[int, tuple[Segment, bytes]]:
+        """The open transaction's journal: page address -> (segment,
+        pre-image), for every page stored into since :meth:`begin`."""
+        if self.journal is None:
+            raise MemoryError_("no open memory transaction")
+        return self.journal
+
+    def rollback(self) -> None:
+        """Close the transaction, restoring every journaled page and the
+        load/store counters to their state at :meth:`begin`."""
+        for addr, (seg, pre) in self.dirty_pages().items():
+            start = addr - seg.base
+            seg.data[start : start + len(pre)] = pre
+        self.journal, loads, stores = self._open.pop()
+        self.loads.clear()
+        self.loads.update(loads)
+        self.stores.clear()
+        self.stores.update(stores)
+
+    def commit(self) -> None:
+        """Close the transaction, keeping its writes; an enclosing
+        transaction inherits the pre-images it has not saved itself."""
+        journal = self.dirty_pages()
+        self.journal = self._open.pop()[0]
+        if self.journal is not None:
+            for addr, entry in journal.items():
+                self.journal.setdefault(addr, entry)
+
     # -- raw access --------------------------------------------------------
     def read_bytes(self, addr: int, length: int, *, count: bool = True) -> bytes:
         """Permission-checked read; ``count=False`` skips the counters."""
@@ -110,6 +180,8 @@ class Memory:
         if count:
             self.stores[seg.name] += 1
         off = addr - seg.base
+        if self.journal is not None:
+            self.journal_write(seg, off, len(data))
         seg.data[off : off + len(data)] = data
 
     # -- typed access -------------------------------------------------------

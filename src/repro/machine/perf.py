@@ -8,6 +8,7 @@ fewer call pairs, fewer branches) the way the paper's prose does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
 
 
 @dataclass
@@ -29,35 +30,26 @@ class PerfCounters:
 
     def reset(self) -> None:
         """Zero every counter."""
-        for f in fields(self):
-            if f.type == "int" or isinstance(getattr(self, f.name), int):
-                setattr(self, f.name, 0)
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         self.by_segment_loads = {}
         self.by_segment_stores = {}
 
     def snapshot(self) -> "PerfCounters":
         """An independent copy, for later delta()."""
-        snap = PerfCounters()
-        for f in fields(self):
-            value = getattr(self, f.name)
-            setattr(snap, f.name, dict(value) if isinstance(value, dict) else value)
-        return snap
+        return PerfCounters(
+            *_counters(self),
+            dict(self.by_segment_loads),
+            dict(self.by_segment_stores),
+        )
 
     def delta(self, earlier: "PerfCounters") -> "PerfCounters":
         """Counters accumulated since ``earlier`` (a snapshot)."""
-        out = PerfCounters()
-        for f in fields(self):
-            now = getattr(self, f.name)
-            before = getattr(earlier, f.name)
-            if isinstance(now, dict):
-                setattr(
-                    out,
-                    f.name,
-                    {k: now.get(k, 0) - before.get(k, 0) for k in now},
-                )
-            else:
-                setattr(out, f.name, now - before)
-        return out
+        return PerfCounters(
+            *map(sub, _counters(self), _counters(earlier)),
+            _dict_delta(self.by_segment_loads, earlier.by_segment_loads),
+            _dict_delta(self.by_segment_stores, earlier.by_segment_stores),
+        )
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -72,3 +64,13 @@ class PerfCounters:
             "remote_cycles": self.remote_cycles,
             "remote_accesses": self.remote_accesses,
         }
+
+
+#: The integer counters, in field order (every field but the two dicts,
+#: which come last).
+_COUNTERS = tuple(f.name for f in fields(PerfCounters) if f.type == "int")
+_counters = attrgetter(*_COUNTERS)
+
+
+def _dict_delta(now: dict[str, int], before: dict[str, int]) -> dict[str, int]:
+    return {k: v - before.get(k, 0) for k, v in now.items()}

@@ -291,11 +291,12 @@ class _TraceCompiler(_BlockCompiler):
         #: Per-site TLB slots: every static access site caches its own
         #: segment in its own locals (site ``j``: ``sb{j}_`` base,
         #: ``sm{j}_`` last valid address, ``sd{j}_`` data, ``sx{j}_``
-        #: surcharge, ``sn{j}_`` name, ``sw{j}_`` executable, plus a
-        #: batched access counter ``mlc{j}_``/``msc{j}_``).  A site has
-        #: locality to one segment even when consecutive sites alternate
-        #: segments (matrix / stack / matrix), which thrashes a shared
-        #: single-entry TLB into a ``segment_for`` walk per access.
+        #: surcharge, ``sn{j}_`` name, ``sw{j}_`` executable, on store
+        #: sites ``sg{j}_`` the segment for the transaction journal
+        #: ``jn_``, plus a batched access counter ``mlc{j}_``/``msc{j}_``).
+        #: A site has locality to one segment even when consecutive sites
+        #: alternate segments (matrix / stack / matrix), which thrashes a
+        #: shared single-entry TLB into a ``segment_for`` walk per access.
         self._load_slots: list[int] = []
         self._store_slots: list[int] = []
 
@@ -312,6 +313,8 @@ class _TraceCompiler(_BlockCompiler):
         e(f"    sb{j}_ = seg_.base; sm{j}_ = seg_.end - 8; "
           f"sd{j}_ = seg_.data; sx{j}_ = seg_.extra_cost; "
           f"sn{j}_ = seg_.name; sw{j}_ = seg_.executable")
+        if j in self._store_slots:
+            e(f"    sg{j}_ = seg_")
 
     def load(self, ea_expr, var, fmt="Q", count_inline=False):
         """Inline a guest load through this site's private TLB slot."""
@@ -350,6 +353,8 @@ class _TraceCompiler(_BlockCompiler):
         e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
           "perf.remote_accesses += 1")
         e(f"msc{j}_ += 1")
+        e("if jn_ is not None:")
+        e(f"    cpu.memory.journal_write(sg{j}_, {t} - sb{j}_, 8)")
         fn = "PQI" if fmt == "Q" else "PDI"
         e(f"{fn}(sd{j}_, {t} - sb{j}_, {value_expr})")
         e(f"if sw{j}_:")
@@ -615,6 +620,7 @@ class _TraceCompiler(_BlockCompiler):
             pre.append("    mloads = cpu.memory.loads")
         if "mstores" in self.needs:
             pre.append("    mstores = cpu.memory.stores")
+            pre.append("    jn_ = cpu.memory.journal")
         if "cw" in self.needs:
             pre.append("    cw_ = False")
         for i in regs_used:

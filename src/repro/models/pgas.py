@@ -177,17 +177,6 @@ class PgasLab:
         conf.passes = passes
         return self.service.request(conf, "ga_get", self.ga_addr, 0)
 
-    def kernel_via_service(self, passes: tuple[str, ...] = ()) -> int:
-        """The reduction kernel's current best entry from the service."""
-        conf = brew_init_conf()
-        brew_setpar(conf, 1, BREW_PTR_TO_KNOWN)
-        brew_setpar(conf, 4, BREW_KNOWN)
-        conf.passes = passes
-        return self.service.request(
-            conf, "ga_sum_range",
-            self.ga_addr, 0, 0, self.machine.symbol("ga_get"),
-        )
-
     def sum_via_service(self, lo: int, hi: int, passes: tuple[str, ...] = ()):
         """The reduction over ``[lo, hi)``, dispatched *and executed*
         through the continuously assured path: ``service.call`` samples

@@ -241,20 +241,6 @@ class StencilLab:
         )
         return self.service
 
-    def apply_via_service(
-        self, passes: tuple[str, ...] = (), deferred_spills: bool = True
-    ) -> int:
-        """The generic ``apply``'s current best entry from the service:
-        the original on a cold miss (rewrite queued for the background
-        worker), the Figure-5 specialized body once published."""
-        conf = brew_init_conf()
-        brew_setpar(conf, 2, BREW_KNOWN)
-        brew_setpar(conf, 3, BREW_PTR_TO_KNOWN)
-        conf.passes = passes
-        conf.deferred_spills = deferred_spills
-        m_example = self.m1 + 8 * (self.xs + 1)
-        return self.service.request(conf, "apply", m_example, self.xs, self.s_addr)
-
     def apply_cell_via_service(
         self, x: int, y: int,
         passes: tuple[str, ...] = (), deferred_spills: bool = True,

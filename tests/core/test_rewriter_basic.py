@@ -319,3 +319,41 @@ def test_stats_are_populated(machine):
     assert result.stats.traced_instructions > 0
     assert result.stats.emitted_instructions > 0
     assert result.rewrite_seconds >= 0.0
+
+
+def decoded_addresses(m: Machine) -> set:
+    """Interpreter icache entries and compiled blocks, by address and
+    tier (the JIT tiers decode through their own block cache)."""
+    blocks = m.jit.cache if m.jit is not None else {}
+    return {("icache", a) for a in m.cpu._icache} | {("block", a) for a in blocks}
+
+
+def test_rewrite_keeps_decoded_code_of_unrelated_functions():
+    """Emitting a variant drops only the decoded bytes it overlaps (the
+    image's code-write listeners), so the interpreter icache and the
+    compiled blocks of code that was already running survive, and every
+    tier still agrees on the results."""
+    source = """
+    noinline long other(long n) { long t = 0; for (long i = 0; i < n; i++) t += i * 3; return t; }
+    noinline long f(long a, long b) { return a * b + 7; }
+    """
+    results = []
+    for tier in ({}, {"jit": True}, {"jit": True, "trace": True}):
+        m = Machine()
+        if tier:
+            m.enable_jit(trace=tier.get("trace", False))
+        m.load(source)
+        m.call("other", 40)
+        decoded = decoded_addresses(m)
+        conf = brew_init_conf()
+        brew_setpar(conf, 1, BREW_KNOWN)
+        result = brew_rewrite(m, conf, "f", 6, 7)
+        assert result.ok, result.message
+        assert decoded and decoded <= decoded_addresses(m)
+        results.append([
+            (m.call(result.entry, 6, b).int_return, m.call("f", 6, b).int_return,
+             m.call("other", 40).int_return)
+            for b in (0, 5, -3)
+        ])
+    assert results[0] == results[1] == results[2]
+    assert all(got == want for got, want, _ in results[0])

@@ -258,3 +258,53 @@ def test_branch_counters(machine):
     result = cpu.run("f")
     assert result.perf.branches == 3
     assert result.perf.taken_branches == 2
+
+
+def test_alternating_segments_hit_the_two_entry_tlb(machine, monkeypatch):
+    """A warm loop that alternates loads from rodata and the heap, with
+    the stack in play for call and return, walks the segment list only
+    to fill the TLB, not on every access."""
+    image, cpu = machine
+    lit = image.add_rodata(None, (3).to_bytes(8, "little"))
+    buf = image.malloc(8 * 16)
+    load(image, "f", "\n".join([
+        "mov rcx, 16",
+        "xor rax, rax",
+        "top:",
+        f"add rax, [{lit}]",
+        "add rax, [rdi]",
+        "add rdi, 8",
+        "sub rcx, 1",
+        "cmp rcx, 0",
+        "jne top",
+        "ret",
+    ]))
+    cpu.run("f", buf)  # decode into the icache
+    walks = []
+    segment_for = cpu.memory.segment_for
+    monkeypatch.setattr(cpu.memory, "segment_for",
+                        lambda *a: walks.append(a) or segment_for(*a))
+    run = cpu.run("f", buf)
+    assert run.int_return == 48
+    assert run.perf.loads == 33
+    assert len(walks) <= 4  # stack, rodata, heap, stack
+
+
+def test_icache_stays_bounded_and_costs_nothing_simulated(machine, monkeypatch):
+    """A full icache is cleared instead of growing: code longer than the
+    bound still runs to the same result and the same simulated cycles."""
+    image, cpu = machine
+    load(image, "f", "mov rax, 0\n" + "add rax, 1\n" * 20 + "ret")
+    unbounded = cpu.run("f")
+    cpu.invalidate_icache()
+    monkeypatch.setattr("repro.machine.cpu.ICACHE_ENTRIES", 8)
+    sizes = []
+    fill = cpu._fill_icache
+    monkeypatch.setattr(cpu, "_fill_icache",
+                        lambda addr: (fill(addr), sizes.append(len(cpu._icache)))[0])
+    for _ in range(2):
+        bounded = cpu.run("f")
+        assert bounded.int_return == unbounded.int_return == 20
+        assert bounded.cycles == unbounded.cycles
+    assert max(sizes) == 8
+    assert len(sizes) > 2 * 8  # the second run re-decodes

@@ -52,3 +52,38 @@ def test_all_registered_experiments_are_callable():
     assert any(n.startswith("exp1") for n in names)
     assert any(n.startswith("ext2") for n in names)
     assert sum(1 for n in names if n.startswith("abl")) == 5
+
+
+def test_experiment_ids_derive_from_function_names():
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.__main__ import experiment_id
+
+    ids = [experiment_id(fn) for fn in ALL_EXPERIMENTS]
+    assert len(ids) == len(set(ids))
+    assert "EXP-1" in ids and "EXT-10" in ids and "ABL-5" in ids
+
+
+def test_cli_runs_only_the_requested_experiment(monkeypatch, capsys):
+    """``python -m repro.experiments EXT-4`` builds EXT-4 alone: the
+    filter applies before an experiment runs, not after."""
+    import repro.experiments.__main__ as cli
+
+    ran = []
+
+    def fake(name, exp_id):
+        def fn():
+            ran.append(exp_id)
+            exp = Experiment(exp_id, name, "-")
+            exp.check("shape", True)
+            return exp
+        fn.__name__ = name
+        return fn
+
+    monkeypatch.setattr(cli, "ALL_EXPERIMENTS", (
+        fake("exp1_specialize", "EXP-1"),
+        fake("ext4_amortization", "EXT-4"),
+        fake("abl5_rewrite_cost", "ABL-5"),
+    ))
+    assert cli.main(["ext-4"]) == 0
+    assert ran == ["EXT-4"]
+    assert "== EXT-4" in capsys.readouterr().out
