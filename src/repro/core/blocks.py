@@ -70,6 +70,12 @@ class BlockRegistry:
         self.queue: deque[PendingBlock] = deque()
         #: Translations per original address, for the variant threshold.
         self.variants: dict[int, list[str]] = {}
+        #: ``(label, entry world)`` per ``(addr, shadow digest)`` in
+        #: enqueue order: the migration candidates of one inline context.
+        self.contexts: dict[tuple[int, tuple], list[tuple[str, World]]] = {}
+        #: Instructions held by compensation blocks; the tracer adds its
+        #: own emitted count to get the output size without re-summing.
+        self.compensation_instructions = 0
         self._seq = 0
 
     def fresh_label(self, stem: str = "blk") -> str:
@@ -86,8 +92,9 @@ class BlockRegistry:
     def variant_count(self, addr: int) -> int:
         return len(self.variants.get(addr, []))
 
-    def variant_labels(self, addr: int) -> list[str]:
-        return self.variants.get(addr, [])
+    def candidates(self, addr: int, shadow: list[ShadowFrame]) -> list[tuple[str, World]]:
+        """Variants of ``addr`` under the same inline context, oldest first."""
+        return self.contexts.get((addr, self.shadow_digest(shadow)), [])
 
     def enqueue(
         self,
@@ -108,6 +115,7 @@ class BlockRegistry:
         pending = PendingBlock(
             label, addr, world.copy(), list(shadow), fn_addr, fn_config.copy()
         )
+        self.contexts.setdefault((addr, key[2]), []).append((label, pending.world))
         self.queue.append(pending)
         return label
 
@@ -116,6 +124,7 @@ class BlockRegistry:
         block.is_compensation = True
         block.done = True
         self.blocks[block.label] = block
+        self.compensation_instructions += len(block.insns)
 
     def begin(self, pending: PendingBlock) -> CapturedBlock:
         """Materialize a pending block so the tracer can fill it."""
@@ -129,7 +138,3 @@ class BlockRegistry:
             if pending.label not in self.blocks:
                 return pending
         return None
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(len(b.insns) for b in self.blocks.values())

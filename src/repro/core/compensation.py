@@ -116,7 +116,7 @@ def materialize_edge(
     scratch_offset: int | None = None,
 ) -> list[Instruction]:
     """Compensation code for a src→dst world migration (src must be
-    migration-compatible with dst; see known.migration_mismatch)."""
+    migration-compatible with dst; see known.migration_compatible)."""
     gprs, xmms, mem_keys = materialization_needs(src, dst)
     out: list[Instruction] = []
     # memory first: materializing a StackRel cell borrows rax, so rax's

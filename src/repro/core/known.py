@@ -392,8 +392,8 @@ def _reg_loc(world: "World", snap: RegSnapshot):
     return world.xmm[snap.reg] if snap.is_float else world.regs[snap.reg]
 
 
-def migration_mismatch(src: "World", dst: "World") -> list[str]:
-    """Why ``src`` cannot migrate into ``dst`` (empty list = compatible).
+def migration_compatible(src: "World", dst: "World") -> bool:
+    """Can ``src`` migrate into ``dst``?  Stops at the first problem.
 
     Migration src→dst is possible when dst's knowledge is a subset of
     src's: every location dst knows must be known-equal in src.
@@ -405,36 +405,33 @@ def migration_mismatch(src: "World", dst: "World") -> list[str]:
     forgets it) — materialization overwrites the runtime content the
     alias refers to.
     """
-    problems: list[str] = []
     for r in GPR:
         d = dst.regs[r]
         if d is not None and d != src.regs[r]:
-            problems.append(f"reg {r}")
+            return False
     for x in XMM:
         d = dst.xmm[x]
         if d is not None and d != src.xmm[x]:
-            problems.append(f"xmm {x}")
+            return False
     if src.escaped and not dst.escaped:
         # dst's code assumed the frame cannot be aliased; on this path
         # a frame address is already loose — unsound to merge
-        problems.append("frame escape")
+        return False
     for key, dval in dst.mem.items():
-        sval = src.mem.get(key, "absent")
         if dval is None:
             # dst expects the runtime cell live; src: known -> will be
             # materialized; dirty/absent -> already live.  Always fine.
             continue
-        if sval != dval:
-            problems.append(f"mem {key}")
-            continue
+        if src.mem.get(key, "absent") != dval:
+            return False
         if isinstance(dval, RegSnapshot):
             if _reg_loc(src, dval) is not None and _reg_loc(dst, dval) is None:
-                problems.append(f"snapshot {key} vs materialized {dval.reg}")
+                return False
     # src cells that dst does not track: if the address is inside a known
     # range, dst would fold reads from the image; src's runtime/known
     # value must equal the image value — we cannot verify that here, the
     # tracer checks it with the image at hand.
-    return problems
+    return True
 
 
 def generalize(a: "World", b: "World") -> "World":

@@ -29,6 +29,7 @@ from research toys:
 from __future__ import annotations
 
 import random
+import struct
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -102,21 +103,35 @@ DEFAULT_LADDER: tuple[LadderRung, ...] = (
 
 
 # ====================================================================== gate
+def _vector_key(vec: tuple) -> tuple:
+    """Bit-exact identity of an argument vector: ``0.0`` and ``-0.0``
+    reach the guest as different bits, so they must not compare equal."""
+    return tuple(
+        (type(a), struct.pack("<d", a) if isinstance(a, float) else a) for a in vec
+    )
+
+
 def _perturbed_vectors(
     conf: RewriteConfig, args: tuple, vectors: int, seed: int
 ) -> list[tuple]:
-    """The tracing args plus ``vectors`` seeded perturbations.
+    """The tracing args plus up to ``vectors`` seeded perturbations,
+    without repeats.
 
     Only parameters declared UNKNOWN may vary — a KNOWN or PTR_TO_KNOWN
     parameter's traced value is baked into the variant, so substituting
     a different value would *legitimately* change the answer.  Unknown
     integers get small signed deltas (covering the common index/pointer
     cases without leaving mapped segments for typical layouts); unknown
-    floats get scaled nudges.
+    floats get scaled nudges.  A vector equal to an earlier one is
+    dropped (the RNG is drawn as if it were kept): the interpreter is
+    deterministic and every run starts from the same rolled-back memory,
+    so running it again cannot change the verdict.  With every parameter
+    known, that leaves the tracing args alone.
     """
     rng = random.Random(seed)
     entry_params = conf.function(None).params
     out = [tuple(args)]
+    seen = [_vector_key(out[0])]
     for _ in range(vectors):
         vec = []
         for position, arg in enumerate(args, start=1):
@@ -129,7 +144,10 @@ def _perturbed_vectors(
                 vec.append(arg + rng.choice((-64, -8, -1, 1, 8, 64)))
             else:  # non-numeric args never reach a successful rewrite
                 vec.append(arg)
-        out.append(tuple(vec))
+        key = _vector_key(vec)
+        if key not in seen:
+            seen.append(key)
+            out.append(tuple(vec))
     return out
 
 
@@ -214,8 +232,9 @@ def validate_variant(
 ) -> str | None:
     """Differentially validate ``result.entry`` against the original.
 
-    Executes both entry points on the tracing args and ``vectors``
-    seeded perturbations of the UNKNOWN parameters, each inside a memory
+    Executes both entry points once per distinct vector among the
+    tracing args and ``vectors`` seeded perturbations of the UNKNOWN
+    parameters (see :func:`_perturbed_vectors`), each inside a memory
     transaction that is rolled back afterwards, and compares return
     registers and every memory write.  Returns ``None`` when no
     divergence was observed or a human-readable mismatch description

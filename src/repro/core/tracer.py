@@ -51,7 +51,7 @@ from repro.core.compensation import (
 from repro.core.config import FunctionConfig, Knownness, RewriteConfig
 from repro.core.known import (
     KnownFloat, KnownInt, MemKey, RegSnapshot, StackRel, Value, World,
-    abs_key, generalize, materialization_needs, migration_mismatch, stack_key,
+    abs_key, generalize, materialization_needs, migration_compatible, stack_key,
 )
 from repro.core.shadow import ShadowFrame
 from repro.isa.encoding import decode
@@ -140,6 +140,11 @@ class Tracer:
         self.reg_gens: dict = {}
         #: Declared-known cells consumed by this trace (see TraceOutput).
         self.known_reads: dict[int, int] = {}
+        #: Successful decodes by address, for this trace only.  Exact:
+        #: a trace runs no guest code, its own image writes (literal
+        #: pool, hook scratch) land in non-executable segments, and the
+        #: emitter writes code only after the trace ends.
+        self._decoded: dict[int, Instruction] = {}
 
     # ====================================================== driving loop
     def run(self, entry_world: World) -> TraceOutput:
@@ -177,7 +182,8 @@ class Tracer:
     def _step(self) -> None:
         if self.stats.traced_instructions >= self.config.max_trace_steps:
             raise RewriteFailure("trace-limit", "max_trace_steps exceeded")
-        if self.registry.total_instructions >= self.config.max_output_instructions:
+        output = self.stats.emitted_instructions + self.registry.compensation_instructions
+        if output >= self.config.max_output_instructions:
             raise RewriteFailure("buffer-full", "max_output_instructions exceeded")
         if (
             self.deadline is not None
@@ -224,7 +230,10 @@ class Tracer:
             raise RewriteFailure(
                 "not-executable", f"trace reached non-executable address 0x{addr:x}"
             )
-        return decode(seg.data, addr, addr - seg.base)
+        insn = self._decoded.get(addr)
+        if insn is None:
+            insn = self._decoded[addr] = decode(seg.data, addr, addr - seg.base)
+        return insn
 
     # ======================================================== emission
     @staticmethod
@@ -1277,7 +1286,7 @@ class Tracer:
         )
 
     def _compatible_for_migration(self, dst_world: World) -> bool:
-        if migration_mismatch(self.world, dst_world):
+        if not migration_compatible(self.world, dst_world):
             return False
         if not dst_world.escaped:
             # the edge would materialize frame addresses (StackRel) into
@@ -1309,17 +1318,8 @@ class Tracer:
     def _migrate_to(self, addr: int) -> str:
         """Variant threshold reached for ``addr``: migrate (Sec. III.F)."""
         self.stats.migrations += 1
-        my_shadow = self.registry.shadow_digest(self.shadow)
         # candidate variants with the same inline context (shadow digest)
-        usable = []
-        for (baddr, wdig, sdig), label in self.registry.by_key.items():
-            if baddr == addr and sdig == my_shadow:
-                block = self.registry.blocks.get(label)
-                world_in = block.world_in if block is not None else next(
-                    (p.world for p in self.registry.queue if p.label == label), None
-                )
-                if world_in is not None:
-                    usable.append((label, world_in))
+        usable = self.registry.candidates(addr, self.shadow)
         compatible = [
             (label, w) for label, w in usable if self._compatible_for_migration(w)
         ]

@@ -168,32 +168,55 @@ def abl4_vectorize(n: int = 16) -> Experiment:
     return exp
 
 
+#: ABL-5 trip counts: the loop unrolls completely, so the traced size
+#: grows linearly with the trip count (~8 traced instructions per trip).
+ABL5_TRIP_COUNTS = (16, 128, 512, 2048)
+#: ``variant_threshold`` for ABL-5: high enough that no trip count
+#: reaches it (the default stops every size at ~220 traced instructions).
+ABL5_VARIANT_THRESHOLD = 1 << 16
+#: Rewrites per size; the fastest one counts (host-time noise only adds).
+ABL5_REPEATS = 3
+
+
 def abl5_rewrite_cost() -> Experiment:
     """ABL-5: rewrite time vs function size (amortization, Sec. VIII:
-    'rewriting makes sense only for performance sensitive hot code paths')."""
+    'rewriting makes sense only for performance sensitive hot code paths').
+
+    Each row is the best-of-``ABL5_REPEATS`` trace+emit host time per
+    traced instruction; the ratio is against the smallest size.  A
+    per-step cost that grows with the output so far (re-summing the
+    captured blocks, scanning every variant) shows up as a ratio that
+    climbs with size."""
     exp = Experiment(
-        "ABL-5", "Rewriting cost vs traced size",
+        "ABL-5", "Rewriting cost vs traced size (us per traced instruction)",
         "Sec. VIII outlook: rewrite cost must amortize over hot-path calls",
     )
-    for unroll in (4, 16, 64, 256):
-        m = Machine()
-        m.load("""
-        noinline long work(long n) {
-            long total = 0;
-            for (long i = 0; i < n; i++) total += i;
-            return total;
-        }
-        """)
-        conf = brew_init_conf()
-        brew_setpar(conf, 1, BREW_KNOWN)
-        result = brew_rewrite(m, conf, "work", unroll)
-        assert result.ok, result.message
+    m = Machine()
+    m.load("""
+    noinline long work(long n) {
+        long total = 0;
+        for (long i = 0; i < n; i++) total += i;
+        return total;
+    }
+    """)
+    conf = brew_init_conf()
+    brew_setpar(conf, 1, BREW_KNOWN)
+    conf.variant_threshold = ABL5_VARIANT_THRESHOLD
+    per_insn = []
+    for trip in ABL5_TRIP_COUNTS:
+        results = [brew_rewrite(m, conf, "work", trip) for _ in range(ABL5_REPEATS)]
+        assert all(r.ok for r in results), results[0].message
+        best = min(r.rewrite_seconds for r in results)
+        traced = results[0].stats.traced_instructions
+        per_insn.append(best * 1e6 / traced)
         exp.rows.append(Row(
-            f"trip count {unroll}",
-            round(result.rewrite_seconds, 5),
-            note=f"{result.stats.traced_instructions} traced, "
-                 f"{result.stats.emitted_instructions} emitted, "
-                 f"{result.code_size} B",
+            f"trip count {trip}",
+            round(per_insn[-1], 2),
+            ratio=round(per_insn[-1] / per_insn[0], 2),
+            note=f"{traced} traced, {results[0].stats.emitted_instructions} emitted, "
+                 f"{results[0].code_size} B, {best:.4f} s",
         ))
-    exp.check("rewrite effort scales with traced instructions", True)
+    exp.check("largest size reaches 16k traced instructions", traced >= 16000)
+    exp.check("us per traced instruction at the largest size <= 2x the smallest",
+              per_insn[-1] <= 2 * per_insn[0])
     return exp

@@ -12,7 +12,10 @@ Four fault classes cover the pipeline end to end:
 
 ``decode``
     The instruction decoder raises :class:`~repro.errors.DecodeError`
-    mid-trace (corrupt code bytes) → reason ``decode-error``.
+    mid-trace (corrupt code bytes) → reason ``decode-error``.  A trace
+    decodes each address once and reuses the instruction on later
+    visits, so the Nth call is the Nth *distinct* address the trace
+    decodes, not the Nth traced instruction.
 ``memory``
     The memory system raises :class:`~repro.errors.SegmentationFault`
     on an access (unmapped address reached while tracing) → reason
@@ -77,11 +80,11 @@ Four more cover the adversarial-guest situations the torture suite
 
 ``undecodable`` / ``self-modify-mid-trace`` / ``indirect-jump-unknown``
 / ``segment-escape``
-    The Nth decode yields an impossible operand shape → reason
-    ``undecodable-instruction``; the Nth traced store lands in
-    executable bytes → ``self-modifying-code``; the Nth jump target is
-    unknowable → ``indirect-jump``; the Nth instruction fetch walks off
-    every mapped segment → ``fetch-out-of-bounds``.
+    The Nth distinct decoded address yields an impossible operand
+    shape → reason ``undecodable-instruction``; the Nth traced store
+    lands in executable bytes → ``self-modifying-code``; the Nth jump
+    target is unknowable → ``indirect-jump``; the Nth instruction fetch
+    walks off every mapped segment → ``fetch-out-of-bounds``.
 
 Injection sites are patched for the dynamic extent of the context
 manager only and restored unconditionally; injectors are reusable but
@@ -120,7 +123,8 @@ FABRIC_FAULT_KINDS = ("shard-crash", "shard-stall", "tenant-flood")
 
 #: Adversarial-guest fault classes (PR 6, the torture suite): the four
 #: ways hostile code bytes break a trace.  ``undecodable`` makes the Nth
-#: decode return garbage that parses but names no instruction;
+#: distinct decoded address return garbage that parses but names no
+#: instruction;
 #: ``self-modify-mid-trace`` makes the Nth traced store land in
 #: executable bytes; ``indirect-jump-unknown`` makes the Nth jump's
 #: target unknowable; ``segment-escape`` makes the Nth instruction fetch
@@ -221,13 +225,17 @@ class FaultInjector:
 
     # -------------------------------------------------------------- seams
     def _install_decode(self):
-        """Patch the tracer's view of :func:`repro.isa.encoding.decode`."""
+        """Patch the tracer's view of :func:`repro.isa.encoding.decode`.
+
+        The tracer calls it once per distinct address of a trace (later
+        visits reuse the decoded instruction), so ``nth`` counts
+        distinct addresses: a loop body traced 100 times decodes once."""
         import repro.core.tracer as tracer_mod
 
         real = tracer_mod.decode
 
         def faulty_decode(buf, addr=0, offset=0):
-            """Injected: fail decode at the Nth decoded instruction."""
+            """Injected: fail decode at the Nth distinct decoded address."""
             if self._tick():
                 raise DecodeError(f"{INJECTED_MARK}: decode", addr)
             return real(buf, addr, offset)
@@ -487,9 +495,9 @@ class FaultInjector:
 
     def _install_undecodable(self):
         """Patch the tracer's view of :func:`repro.isa.encoding.decode`
-        so the Nth decoded instruction parses structurally but names no
-        executable instruction — the adversarial-bytes shape the torture
-        generator produces organically."""
+        so the Nth distinct decoded address parses structurally but
+        names no executable instruction — the adversarial-bytes shape the
+        torture generator produces organically."""
         import repro.core.tracer as tracer_mod
 
         real = tracer_mod.decode

@@ -117,6 +117,32 @@ def test_seeded_campaign_never_raises(machine):
             assert result.ok, result.message
 
 
+@pytest.mark.parametrize("kind", ["decode", "undecodable"])
+def test_decode_seams_count_distinct_addresses(machine, kind):
+    """The decoder seams fire at the Nth *distinct* address a trace
+    decodes: an unrolled loop visits its body many times but decodes it
+    once, so ``nth`` past the distinct count never fires, even where it
+    is below the number of traced instructions."""
+    load_asm(machine, "addn", COUNTDOWN)
+    conf = brew_init_conf()
+    brew_setpar(conf, 1, BREW_KNOWN)
+    conf.variant_threshold = 100_000
+    with inject_fault(kind, nth=10**9) as probe:
+        result = brew_rewrite(machine, conf, "addn", 20, 3)
+    assert result.ok and not probe.fired
+    distinct = probe.calls
+    assert distinct == 7  # the seven instructions of COUNTDOWN
+    assert result.stats.traced_instructions > distinct + 1
+    with inject_fault(kind, nth=distinct + 1) as past:
+        result = brew_rewrite(machine, conf, "addn", 20, 3)
+    assert not past.fired and past.calls == distinct
+    assert result.ok, result.message
+    with inject_fault(kind, nth=distinct) as last:
+        result = brew_rewrite(machine, conf, "addn", 20, 3)
+    assert last.fired
+    assert result.reason == EXPECTED_REASON[kind]
+
+
 def test_transient_fault_recovers_at_next_rung(machine):
     """A one-shot injected fault fails the base attempt; the ladder's
     next rung runs clean and the supervisor hands out a validated

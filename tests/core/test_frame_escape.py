@@ -9,7 +9,7 @@ import pytest
 from repro.core import (
     BREW_KNOWN, brew_init_conf, brew_rewrite, brew_setfunc, brew_setpar,
 )
-from repro.core.known import StackRel, World, generalize, migration_mismatch
+from repro.core.known import StackRel, World, generalize, migration_compatible
 from repro.isa.registers import GPR
 from repro.machine.vm import Machine
 
@@ -34,9 +34,9 @@ def test_demoting_stackrel_escapes():
 def test_escaped_source_cannot_migrate_into_clean_target():
     src, dst = World.entry_world(), World.entry_world()
     src.escaped = True
-    assert any("escape" in p for p in migration_mismatch(src, dst))
+    assert not migration_compatible(src, dst)
     # the other direction is fine (dst is merely conservative)
-    assert migration_mismatch(dst, src) == []
+    assert migration_compatible(dst, src)
 
 
 def test_digest_distinguishes_escape():

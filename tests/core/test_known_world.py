@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.known import (
     KnownFloat, KnownInt, RegSnapshot, StackRel, World,
-    abs_key, generalize, materialization_needs, migration_mismatch, stack_key,
+    abs_key, generalize, materialization_needs, migration_compatible, stack_key,
 )
 from repro.isa.flags import Flag
 from repro.isa.registers import GPR, XMM
@@ -55,14 +55,14 @@ def test_copy_is_deep_enough():
 def test_migration_subset_rule():
     rich = make_world(rax=KnownInt(1), rcx=KnownInt(2))
     poor = make_world(rax=KnownInt(1))
-    assert migration_mismatch(rich, poor) == []        # rich -> poor ok
-    assert migration_mismatch(poor, rich) != []        # poor lacks rcx
+    assert migration_compatible(rich, poor)        # rich -> poor ok
+    assert not migration_compatible(poor, rich)    # poor lacks rcx
 
 
 def test_migration_value_conflict():
     a = make_world(rax=KnownInt(1))
     b = make_world(rax=KnownInt(2))
-    assert migration_mismatch(a, b) != []
+    assert not migration_compatible(a, b)
 
 
 def test_migration_memory_rules():
@@ -70,7 +70,7 @@ def test_migration_memory_rules():
     dst = make_world()
     src.mem[abs_key(0x1000)] = KnownInt(5)
     dst.mem[abs_key(0x1000)] = None  # dirty: runtime-live expected
-    assert migration_mismatch(src, dst) == []
+    assert migration_compatible(src, dst)
     _, _, mem_keys = materialization_needs(src, dst)
     assert abs_key(0x1000) in mem_keys
 
@@ -83,7 +83,7 @@ def test_snapshot_alias_blocks_materializing_migration():
     snap = RegSnapshot(GPR.RSI, 0)
     src.mem[stack_key(-16)] = snap
     dst.mem[stack_key(-16)] = snap
-    assert migration_mismatch(src, dst) != []
+    assert not migration_compatible(src, dst)
 
 
 def test_generalize_keeps_agreement_drops_conflict():
@@ -153,8 +153,8 @@ def test_generalize_idempotent(a):
 @given(a=worlds(), b=worlds())
 def test_everything_migrates_into_the_generalization(a, b):
     g = generalize(a, b)
-    assert migration_mismatch(a, g) == []
-    assert migration_mismatch(b, g) == []
+    assert migration_compatible(a, g)
+    assert migration_compatible(b, g)
 
 
 @given(a=worlds(), b=worlds())
